@@ -4,20 +4,25 @@
 //
 //	eccspec list
 //	eccspec run <id>... [-seed N] [-full] [-fast] [-csv dir] [-plot] [-json]
-//	eccspec run all
-//	eccspec run -checkpoint f [-seconds S] [-workload W] [-seed N] [-full] [-uncore]
+//	eccspec run all [flags]
+//	eccspec run -checkpoint f [-seconds S] [-workload W] [-policy P] [-fidelity F] [-seed N] [-full] [-uncore]
 //	eccspec run -resume f [-seconds S] [-checkpoint f2]
-//	eccspec seeds <id> [-n N]    # distribution across chip specimens
-//	eccspec report [-fast]       # Markdown summary of every experiment
-//	eccspec chaos list           # fault-injection scenario catalog
-//	eccspec chaos <scenario>     # replay a scenario deterministically
+//	eccspec compare [-policies a,b,c] [-workloads w1,w2] [-seed N] [-fast] [-full] [-json]
+//	eccspec seeds <id> [-n N] [-full] [-fast=false]   # distribution across chip specimens
+//	eccspec report [-seed N] [-full] [-fast]          # Markdown summary of every experiment
+//	eccspec chaos list                                # fault-injection scenario catalog
+//	eccspec chaos <scenario>|-plan f [-seed N] [-seconds S] [-workload W]
 //	eccspec cluster members [-addr URL]
 //	eccspec cluster placement <fleet-id> [-addr URL]
+//	eccspec loadtest -addr URL [-rps N] [-duration D] [-workers N] [-mix s:st:r:l] [-json f] [-slo-submit-p99 MS] [-slo-read-p99 MS] [-slo-min-rps N]
 //	eccspec version
 //
 // Each experiment id corresponds to one table or figure of the paper
-// (fig1..fig18, tab1, tab2) or an auxiliary study (retention, aging,
-// temp). See DESIGN.md for the experiment index.
+// (fig1..fig18, tab1, tab2), one step of the paper's method (weaklines
+// for the §III-C boot-time calibration, errprofile for the §IV-A4
+// machine-check error profile), or an auxiliary study (retention,
+// aging, temp, compare, policies, ...); `eccspec list` prints them all.
+// See DESIGN.md for the experiment index.
 //
 // With -checkpoint and no experiment ids, run performs a direct
 // closed-loop simulation (calibrate, then speculate for -seconds) and

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"io"
+	"net/http"
 	"sync/atomic"
 	"time"
 )
@@ -30,94 +30,92 @@ type metrics struct {
 	fidelityDropbacks atomic.Int64
 }
 
-func newMetrics() *metrics { return &metrics{start: time.Now()} }
-
-// clusterScrape is the coordinator's scheduling state sampled at scrape
-// time; nil when the daemon is not a coordinator.
-type clusterScrape struct {
-	workersHealthy     int
-	workersDegraded    int
-	workersQuarantined int
-	workersDead        int
-	dispatches         int64
-	chipsDone          int64
-	remoteTicks        int64
-	chipsStolen        int64
-	chipsMigrated      int64
-	retries            int64
-	streamsStalled     int64
-	dupEvents          int64
-	quarantines        int64
+// sample is one metric in the exposition: gauges carry a float64
+// (rendered %g), counters an int64 (rendered %d).
+type sample struct {
+	name, typ, help string
+	value           any
 }
 
-// scrape carries the state sampled off the live server at scrape time,
-// as opposed to the monotonic counters the metrics struct owns.
-type scrape struct {
-	queued, running      int
-	queueDepth, queueCap int
-	degraded             bool
-	storeRetries         int64
-	cluster              *clusterScrape
-}
-
-// write renders the Prometheus text exposition format (version 0.0.4).
-// sc holds the gauges sampled at scrape time: job-table counts, the
-// admission queue's depth/capacity, journal health, and (on a
-// coordinator) the cluster section.
-func (m *metrics) write(w io.Writer, sc scrape) {
-	queued, running := sc.queued, sc.running
-	degraded, storeRetries, cl := sc.degraded, sc.storeRetries, sc.cluster
-	up := time.Since(m.start).Seconds()
+// handleMetrics renders the Prometheus text exposition format (version
+// 0.0.4). Every sample is declared here once, in exposition order: the
+// daemon-owned counters above, plus gauges read off live state at
+// scrape time — the job table (under one lock), the admission queue,
+// journal health, and on a coordinator one Stats and one membership
+// count.
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	queued, running := 0, 0
+	for _, j := range s.jobs {
+		switch j.Status {
+		case statusQueued:
+			queued++
+		case statusRunning:
+			running++
+		}
+	}
+	s.mu.Unlock()
+	var storeRetries int64
+	if s.cfg.store != nil {
+		storeRetries = s.cfg.store.Retries()
+	}
+	degraded := 0.0
+	if s.degraded.Load() {
+		degraded = 1
+	}
+	m := s.metrics
+	up := s.now().Sub(m.start).Seconds()
 	ticks := m.simTicks.Load()
 	rate := 0.0
 	if up > 0 {
 		rate = float64(ticks) / up
 	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+	const gauge, counter = "gauge", "counter"
+	samples := []sample{
+		{"eccspecd_jobs_queued", gauge, "Fleet jobs waiting for the runner.", float64(queued)},
+		{"eccspecd_jobs_running", gauge, "Fleet jobs currently simulating.", float64(running)},
+		{"eccspecd_queue_depth", gauge, "Jobs currently held in the bounded admission queue.", float64(s.queue.Depth())},
+		{"eccspecd_queue_capacity", gauge, "Admission queue bound; submissions past it are shed with 429.", float64(s.queue.Capacity())},
+		{"eccspecd_jobs_submitted_total", counter, "Fleet jobs accepted since start.", m.jobsSubmitted.Load()},
+		{"eccspecd_jobs_done_total", counter, "Fleet jobs completed successfully.", m.jobsDone.Load()},
+		{"eccspecd_jobs_failed_total", counter, "Fleet jobs that failed or were cancelled.", m.jobsFailed.Load()},
+		{"eccspecd_jobs_evicted_total", counter, "Completed fleet jobs evicted by the retention policy.", m.jobsEvicted.Load()},
+		{"eccspecd_jobs_shed_total", counter, "Submissions refused with 429 because the admission queue was full.", m.jobsShed.Load()},
+		{"eccspecd_jobs_canceled_total", counter, "Jobs canceled by client DELETE.", m.jobsCanceled.Load()},
+		{"eccspecd_rate_limited_total", counter, "Requests refused with 429 by the per-client rate limit.", m.rateLimited.Load()},
+		{"eccspecd_http_not_modified_total", counter, "Conditional GETs answered 304 without re-serializing results.", m.notModified.Load()},
+		{"eccspecd_result_encodes_total", counter, "Full serializations of a /results response body.", m.resultEncodes.Load()},
+		{"eccspecd_chips_simulated_total", counter, "Chip simulations completed.", m.chipsSimulated.Load()},
+		{"eccspecd_chips_failed_total", counter, "Chip simulations that ended in an error (including recovered worker panics).", m.chipsFailed.Load()},
+		{"eccspecd_store_retries_total", counter, "Journal commit points that needed the bounded-retry path.", storeRetries},
+		{"eccspecd_degraded", gauge, "1 while the journal is unwritable and new fleets get 503s.", degraded},
+		{"eccspecd_sim_ticks_total", counter, "Control ticks simulated across all fleets.", ticks},
+		{"eccspecd_fidelity_fastforward_ticks_total", counter, "Control ticks simulated in adaptive fast-forward mode.", m.fidelityFFTicks.Load()},
+		{"eccspecd_fidelity_dropback_total", counter, "Adaptive-fidelity drop-backs to full event sampling.", m.fidelityDropbacks.Load()},
+		{"eccspecd_sim_ticks_per_second", gauge, "Lifetime average simulation throughput.", rate},
+		{"eccspecd_uptime_seconds", gauge, "Seconds since the daemon started.", up},
 	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	if c := s.cfg.coordinator; c != nil {
+		st := c.Stats()
+		counts := c.Membership().Counts()
+		samples = append(samples,
+			sample{"eccspecd_cluster_workers_healthy", gauge, "Registered workers accepting work.", float64(counts.Healthy)},
+			sample{"eccspecd_cluster_workers_degraded", gauge, "Registered workers reporting degraded; no new work.", float64(counts.Degraded)},
+			sample{"eccspecd_cluster_workers_quarantined", gauge, "Workers tripped by the dispatch circuit breaker, awaiting a half-open probe.", float64(counts.Quarantined)},
+			sample{"eccspecd_cluster_workers_dead", gauge, "Registered workers past the heartbeat TTL or failed mid-batch.", float64(counts.Dead)},
+			sample{"eccspecd_cluster_dispatches_total", counter, "Chip batches dispatched to workers.", st.Dispatches},
+			sample{"eccspecd_cluster_chips_done_total", counter, "Chips completed on remote workers.", st.ChipsDone},
+			sample{"eccspecd_cluster_remote_ticks_total", counter, "Control ticks simulated on remote workers.", st.RemoteTicks},
+			sample{"eccspecd_cluster_chips_stolen_total", counter, "Chips moved from a loaded worker's queue to an idle one.", st.ChipsStolen},
+			sample{"eccspecd_cluster_chips_migrated_total", counter, "In-flight chips re-queued off a dead, degraded, or failed-dispatch worker.", st.ChipsMigrated},
+			sample{"eccspecd_cluster_dispatch_retries_total", counter, "Dispatch re-attempts scheduled by the backoff loop after a failure.", st.Retries},
+			sample{"eccspecd_cluster_streams_stalled_total", counter, "Exec streams the stall watchdog canceled for silence.", st.StreamsStalled},
+			sample{"eccspecd_cluster_dup_events_total", counter, "Stream events dropped by sequence-number dedupe.", st.DupEvents},
+			sample{"eccspecd_cluster_quarantines_total", counter, "Workers quarantined by the dispatch circuit breaker since start.", c.Membership().Quarantines()},
+		)
 	}
-	gauge("eccspecd_jobs_queued", "Fleet jobs waiting for the runner.", float64(queued))
-	gauge("eccspecd_jobs_running", "Fleet jobs currently simulating.", float64(running))
-	gauge("eccspecd_queue_depth", "Jobs currently held in the bounded admission queue.", float64(sc.queueDepth))
-	gauge("eccspecd_queue_capacity", "Admission queue bound; submissions past it are shed with 429.", float64(sc.queueCap))
-	counter("eccspecd_jobs_submitted_total", "Fleet jobs accepted since start.", m.jobsSubmitted.Load())
-	counter("eccspecd_jobs_done_total", "Fleet jobs completed successfully.", m.jobsDone.Load())
-	counter("eccspecd_jobs_failed_total", "Fleet jobs that failed or were cancelled.", m.jobsFailed.Load())
-	counter("eccspecd_jobs_evicted_total", "Completed fleet jobs evicted by the retention policy.", m.jobsEvicted.Load())
-	counter("eccspecd_jobs_shed_total", "Submissions refused with 429 because the admission queue was full.", m.jobsShed.Load())
-	counter("eccspecd_jobs_canceled_total", "Jobs canceled by client DELETE.", m.jobsCanceled.Load())
-	counter("eccspecd_rate_limited_total", "Requests refused with 429 by the per-client rate limit.", m.rateLimited.Load())
-	counter("eccspecd_http_not_modified_total", "Conditional GETs answered 304 without re-serializing results.", m.notModified.Load())
-	counter("eccspecd_result_encodes_total", "Full serializations of a /results response body.", m.resultEncodes.Load())
-	counter("eccspecd_chips_simulated_total", "Chip simulations completed.", m.chipsSimulated.Load())
-	counter("eccspecd_chips_failed_total", "Chip simulations that ended in an error (including recovered worker panics).", m.chipsFailed.Load())
-	counter("eccspecd_store_retries_total", "Journal commit points that needed the bounded-retry path.", storeRetries)
-	degradedV := 0.0
-	if degraded {
-		degradedV = 1
-	}
-	gauge("eccspecd_degraded", "1 while the journal is unwritable and new fleets get 503s.", degradedV)
-	counter("eccspecd_sim_ticks_total", "Control ticks simulated across all fleets.", ticks)
-	counter("eccspecd_fidelity_fastforward_ticks_total", "Control ticks simulated in adaptive fast-forward mode.", m.fidelityFFTicks.Load())
-	counter("eccspecd_fidelity_dropback_total", "Adaptive-fidelity drop-backs to full event sampling.", m.fidelityDropbacks.Load())
-	gauge("eccspecd_sim_ticks_per_second", "Lifetime average simulation throughput.", rate)
-	gauge("eccspecd_uptime_seconds", "Seconds since the daemon started.", up)
-	if cl != nil {
-		gauge("eccspecd_cluster_workers_healthy", "Registered workers accepting work.", float64(cl.workersHealthy))
-		gauge("eccspecd_cluster_workers_degraded", "Registered workers reporting degraded; no new work.", float64(cl.workersDegraded))
-		gauge("eccspecd_cluster_workers_quarantined", "Workers tripped by the dispatch circuit breaker, awaiting a half-open probe.", float64(cl.workersQuarantined))
-		gauge("eccspecd_cluster_workers_dead", "Registered workers past the heartbeat TTL or failed mid-batch.", float64(cl.workersDead))
-		counter("eccspecd_cluster_dispatches_total", "Chip batches dispatched to workers.", cl.dispatches)
-		counter("eccspecd_cluster_chips_done_total", "Chips completed on remote workers.", cl.chipsDone)
-		counter("eccspecd_cluster_remote_ticks_total", "Control ticks simulated on remote workers.", cl.remoteTicks)
-		counter("eccspecd_cluster_chips_stolen_total", "Chips moved from a loaded worker's queue to an idle one.", cl.chipsStolen)
-		counter("eccspecd_cluster_chips_migrated_total", "In-flight chips re-queued off a dead, degraded, or failed-dispatch worker.", cl.chipsMigrated)
-		counter("eccspecd_cluster_dispatch_retries_total", "Dispatch re-attempts scheduled by the backoff loop after a failure.", cl.retries)
-		counter("eccspecd_cluster_streams_stalled_total", "Exec streams the stall watchdog canceled for silence.", cl.streamsStalled)
-		counter("eccspecd_cluster_dup_events_total", "Stream events dropped by sequence-number dedupe.", cl.dupEvents)
-		counter("eccspecd_cluster_quarantines_total", "Workers quarantined by the dispatch circuit breaker since start.", cl.quarantines)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	for _, x := range samples {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", x.name, x.help, x.name, x.typ, x.name, x.value)
 	}
 }

@@ -222,7 +222,7 @@ func newServer(engine runner, cfg serverConfig) *server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &server{
 		engine:     engine,
-		metrics:    newMetrics(),
+		metrics:    &metrics{start: cfg.now()},
 		mux:        http.NewServeMux(),
 		cfg:        cfg,
 		now:        cfg.now,
@@ -1159,7 +1159,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/csv")
 	flusher, _ := w.(http.Flusher)
 	bw := bufio.NewWriterSize(w, 64<<10)
-	fmt.Fprintf(bw, "seed,time,%s\n", joinColumns())
+	fmt.Fprintf(bw, "seed,time,%s\n", strings.Join(fleet.TraceColumns, ","))
 	rows := 0
 	var buf []byte
 	for _, c := range results {
@@ -1195,65 +1195,6 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // traceFlushRows is how many CSV rows accumulate between explicit
 // flushes of the trace stream.
 const traceFlushRows = 4096
-
-func joinColumns() string {
-	out := ""
-	for i, c := range fleet.TraceColumns {
-		if i > 0 {
-			out += ","
-		}
-		out += c
-	}
-	return out
-}
-
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	queued, running := 0, 0
-	for _, j := range s.jobs {
-		switch j.Status {
-		case statusQueued:
-			queued++
-		case statusRunning:
-			running++
-		}
-	}
-	s.mu.Unlock()
-	var retries int64
-	if s.cfg.store != nil {
-		retries = s.cfg.store.Retries()
-	}
-	var cl *clusterScrape
-	if c := s.cfg.coordinator; c != nil {
-		st := c.Stats()
-		cl = &clusterScrape{
-			dispatches:     st.Dispatches,
-			chipsDone:      st.ChipsDone,
-			remoteTicks:    st.RemoteTicks,
-			chipsStolen:    st.ChipsStolen,
-			chipsMigrated:  st.ChipsMigrated,
-			retries:        st.Retries,
-			streamsStalled: st.StreamsStalled,
-			dupEvents:      st.DupEvents,
-			quarantines:    c.Membership().Quarantines(),
-		}
-		counts := c.Membership().Counts()
-		cl.workersHealthy = counts.Healthy
-		cl.workersDegraded = counts.Degraded
-		cl.workersQuarantined = counts.Quarantined
-		cl.workersDead = counts.Dead
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, scrape{
-		queued:       queued,
-		running:      running,
-		queueDepth:   s.queue.Depth(),
-		queueCap:     s.queue.Capacity(),
-		degraded:     s.degraded.Load(),
-		storeRetries: retries,
-		cluster:      cl,
-	})
-}
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()

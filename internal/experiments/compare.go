@@ -6,7 +6,6 @@ import (
 	"eccspec/internal/alt"
 	"eccspec/internal/chip"
 	"eccspec/internal/control"
-	"eccspec/internal/engine"
 	"eccspec/internal/firmware"
 )
 
@@ -40,116 +39,78 @@ type compareOutcome struct {
 func runCompare(o Options) (*Result, error) {
 	converge := o.scale(1800, 250)
 	measure := o.scale(1800, 250)
-
-	run := func(name string, params chip.Params,
-		adapt func(c *chip.Chip) func(chip.TickReport)) (compareOutcome, error) {
-		c := chip.New(params)
-		assignSuite(c, "SPECint", o.Seed)
-		step := adapt(c)
-		engine.Ticks(c, nil, converge, func(_ int, rep chip.TickReport, _ []control.Action) bool {
-			step(rep)
-			return true
-		})
-		for _, co := range c.Cores {
-			co.ResetAccounting()
-		}
-		sumV := 0.0
-		engine.Ticks(c, nil, measure, func(_ int, rep chip.TickReport, _ []control.Action) bool {
-			step(rep)
-			for _, d := range c.Domains {
-				sumV += d.Rail.Target()
-			}
-			return true
-		})
-		out := compareOutcome{name: name}
-		out.avgV = sumV / float64(measure*len(c.Domains))
-		out.reduction = 1 - out.avgV/c.P.Point.NominalVdd
-		var e, w float64
-		for i, co := range c.Cores {
-			if !co.Alive() {
-				return out, fmt.Errorf("experiments: core %d died under %s", i, name)
-			}
-			e += co.Energy()
-			w += co.Work()
-		}
-		out.epw = e / w
-		out.work = w
-		return out, nil
-	}
-
 	base := chip.DefaultParams(o.Seed, true, o.Full)
-	var outs []compareOutcome
-
-	// 1. No speculation: rails stay at nominal.
-	o1, err := run("none", base, func(c *chip.Chip) func(chip.TickReport) {
-		return func(chip.TickReport) {}
-	})
-	if err != nil {
-		return nil, err
-	}
-	outs = append(outs, o1)
-
-	// 2. Critical path monitors: logic margin sensing + static cache
-	// guardband.
-	o2, err := run("cpm", base, func(c *chip.Chip) func(chip.TickReport) {
-		cfg := alt.DefaultCPMConfig()
-		cfg.DecisionTicks = o.scale(cfg.DecisionTicks, 4)
-		m := alt.NewCPM(c, cfg)
-		return m.Adapt
-	})
-	if err != nil {
-		return nil, err
-	}
-	outs = append(outs, o2)
-
-	// 3. Firmware ECC baseline [4] with off-line calibrated floors.
-	o3, err := run("ecc-firmware", base, func(c *chip.Chip) func(chip.TickReport) {
-		ctl := control.New(c, control.DefaultConfig())
-		// Fast mode accelerates the (slow) firmware policy clock along
-		// with the shortened run.
-		fwCfg := firmware.DefaultConfig()
-		fwCfg.QuietTicksToLower = o.scale(fwCfg.QuietTicksToLower, 8)
-		fwCfg.HoldTicksAfterBackoff = o.scale(fwCfg.HoldTicksAfterBackoff, 80)
-		fw := firmware.New(c, fwCfg)
-		for _, d := range c.Domains {
-			if a, err := ctl.FindOnset(d); err == nil {
-				fw.SetFloor(d.ID, a.OnsetV)
-			}
-		}
-		return fw.Adapt
-	})
-	if err != nil {
-		return nil, err
-	}
-	outs = append(outs, o3)
-
-	// 4. The paper's hardware ECC monitors.
-	o4, err := run("ecc-hardware", base, func(c *chip.Chip) func(chip.TickReport) {
-		ctl := control.New(c, control.DefaultConfig())
-		if _, err := ctl.Calibrate(); err != nil {
-			panic(err)
-		}
-		return func(chip.TickReport) { ctl.Tick() }
-	})
-	if err != nil {
-		return nil, err
-	}
-	outs = append(outs, o4)
-
-	// 5. Razor: detect-and-replay through the logic floor.
 	razorCfg := alt.DefaultRazorConfig()
 	razorCfg.DecisionTicks = o.scale(razorCfg.DecisionTicks, 4)
 	razorParams := base
 	razorParams.RazorWindowV = razorCfg.WindowV
-	o5, err := run("razor", razorParams, func(c *chip.Chip) func(chip.TickReport) {
-		rz := alt.NewRazor(c, razorCfg)
-		return rz.Adapt
-	})
-	if err != nil {
-		return nil, err
-	}
-	outs = append(outs, o5)
 
+	// Each technique drives a fresh chip either through a per-tick
+	// control system or through an adapt func fed each tick's report
+	// (see measureWindow).
+	techniques := []struct {
+		name   string
+		params chip.Params
+		build  func(c *chip.Chip) (*control.System, func(chip.TickReport))
+	}{
+		// No speculation: rails stay at nominal.
+		{"none", base, func(*chip.Chip) (*control.System, func(chip.TickReport)) {
+			return nil, nil
+		}},
+		// Critical path monitors: logic margin sensing + static cache
+		// guardband.
+		{"cpm", base, func(c *chip.Chip) (*control.System, func(chip.TickReport)) {
+			cfg := alt.DefaultCPMConfig()
+			cfg.DecisionTicks = o.scale(cfg.DecisionTicks, 4)
+			return nil, alt.NewCPM(c, cfg).Adapt
+		}},
+		// Firmware ECC baseline [4] with off-line calibrated floors.
+		{"ecc-firmware", base, func(c *chip.Chip) (*control.System, func(chip.TickReport)) {
+			ctl := control.New(c, control.DefaultConfig())
+			// Fast mode accelerates the (slow) firmware policy clock
+			// along with the shortened run.
+			fwCfg := firmware.DefaultConfig()
+			fwCfg.QuietTicksToLower = o.scale(fwCfg.QuietTicksToLower, 8)
+			fwCfg.HoldTicksAfterBackoff = o.scale(fwCfg.HoldTicksAfterBackoff, 80)
+			fw := firmware.New(c, fwCfg)
+			for _, d := range c.Domains {
+				if a, err := ctl.FindOnset(d); err == nil {
+					fw.SetFloor(d.ID, a.OnsetV)
+				}
+			}
+			return nil, fw.Adapt
+		}},
+		// The paper's hardware ECC monitors.
+		{"ecc-hardware", base, func(c *chip.Chip) (*control.System, func(chip.TickReport)) {
+			ctl := control.New(c, control.DefaultConfig())
+			if _, err := ctl.Calibrate(); err != nil {
+				panic(err)
+			}
+			return ctl, nil
+		}},
+		// Razor: detect-and-replay through the logic floor.
+		{"razor", razorParams, func(c *chip.Chip) (*control.System, func(chip.TickReport)) {
+			return nil, alt.NewRazor(c, razorCfg).Adapt
+		}},
+	}
+
+	var outs []compareOutcome
+	for _, t := range techniques {
+		c := chip.New(t.params)
+		assignSuite(c, "SPECint", o.Seed)
+		ctl, adapt := t.build(c)
+		win := measureWindow(c, ctl, adapt, converge, measure)
+		if win.dead >= 0 {
+			return nil, fmt.Errorf("experiments: core %d died under %s", win.dead, t.name)
+		}
+		outs = append(outs, compareOutcome{
+			name:      t.name,
+			avgV:      win.avgV,
+			reduction: 1 - win.avgV/c.P.Point.NominalVdd,
+			epw:       win.energy / win.work,
+			work:      win.work,
+		})
+	}
 	baseEPW := outs[0].epw
 	baseWork := outs[0].work
 	tbl := NewTextTable("technique", "avg Vdd", "reduction", "rel energy/work", "perf cost")
@@ -165,15 +126,12 @@ func runCompare(o Options) (*Result, error) {
 		metrics["energy_"+out.name] = out.epw / baseEPW
 		metrics["perfcost_"+out.name] = perfCost
 	}
-	var reds []float64
-	for _, out := range outs {
-		reds = append(reds, out.reduction)
-	}
 	return &Result{
 		ID: "compare", Title: "Related-work technique comparison",
 		Headline: fmt.Sprintf(
 			"Vdd reductions: none %.0f%%, CPM %.1f%%, ECC-firmware %.1f%%, ECC-hardware %.1f%%, Razor %.1f%%",
-			100*reds[0], 100*reds[1], 100*reds[2], 100*reds[3], 100*reds[4]),
+			100*outs[0].reduction, 100*outs[1].reduction, 100*outs[2].reduction,
+			100*outs[3].reduction, 100*outs[4].reduction),
 		Table:   tbl,
 		Metrics: metrics,
 	}, nil

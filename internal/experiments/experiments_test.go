@@ -6,7 +6,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig1", "fig2", "fig3", "fig4", "tab1", "tab2",
+	want := []string{"fig1", "fig2", "fig3", "fig4", "tab1", "tab2", "weaklines", "errprofile",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"fig17", "fig18", "retention", "aging", "temp",
 		"ablate-band", "ablate-proberate", "ablate-step", "ablate-rails",

@@ -21,12 +21,16 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite the golden experiment tables from the current code")
 
-// goldenIDs are the paper-numbered reproductions (tables and figures of
-// the source paper's evaluation) whose rendered output is pinned.
+// goldenIDs are the experiments whose rendered output is pinned: the
+// paper-numbered reproductions (tables and figures of the source
+// paper's evaluation), the calibration and error-profile steps of the
+// method, and the two comparison harnesses, which share one
+// measurement loop.
 var goldenIDs = []string{
 	"fig1", "fig2", "fig3", "fig4", "tab1", "tab2",
 	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 	"fig17", "fig18",
+	"compare", "policies", "weaklines", "errprofile",
 }
 
 func TestGoldenPaperTables(t *testing.T) {

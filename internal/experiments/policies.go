@@ -171,42 +171,74 @@ func runPolicyCell(seed uint64, full bool, polName, wlName string, converge, mea
 		out.Err = fmt.Sprintf("calibrate: %v", err)
 		return out
 	}
-	engine.Ticks(c, ctl, converge, nil)
-	for _, co := range c.Cores {
-		co.ResetAccounting()
-	}
-	dueBase := sumUncorrectable(c)
-
-	sumV := 0.0
-	ran := engine.Ticks(c, ctl, measure, func(_ int, _ chip.TickReport, _ []control.Action) bool {
-		for _, d := range c.Domains {
-			sumV += d.Rail.Target()
-		}
-		return true
-	})
-
-	out.AvgVddV = sumV / float64(ran*len(c.Domains))
+	win := measureWindow(c, ctl, nil, converge, measure)
+	out.AvgVddV = win.avgV
 	out.Reduction = 1 - out.AvgVddV/c.P.Point.NominalVdd
-	out.DUE = sumUncorrectable(c) - dueBase
-	out.DUEPerSecond = float64(out.DUE) / (float64(ran) * c.P.TickSeconds)
+	out.DUE = win.due
+	out.DUEPerSecond = float64(out.DUE) / (float64(measure) * c.P.TickSeconds)
 	out.Emergencies = ctl.Emergencies()
 	out.FailSafe = ctl.FailSafeDomains()
-	var e, w float64
-	for _, co := range c.Cores {
-		if !co.Alive() {
-			out.CoreDied = true
-		}
-		e += co.Energy()
-		w += co.Work()
-	}
-	if w > 0 {
-		out.EnergyPerWork = e / w
+	out.CoreDied = win.dead >= 0
+	if win.work > 0 {
+		out.EnergyPerWork = win.energy / win.work
 	}
 	if ts, ok := ctl.Policy().(*policy.TSCache); ok {
 		st := ts.Stats()
 		out.SpecHits, out.Replays = st.SpecHits, st.Replays
 	}
 	return out
+}
+
+// window is one comparison cell's measurement window.
+type window struct {
+	avgV         float64 // mean domain setpoint
+	energy, work float64 // summed over every core
+	due          uint64  // uncorrectable ECC events
+	dead         int     // first core dead at the end, or -1
+}
+
+// measureWindow is the measurement protocol both comparison harnesses
+// share: converge for converge ticks, reset every core's energy and
+// work accounting, then measure for measure ticks, summing the domain
+// setpoints each tick. The chip is driven either by a per-tick control
+// system (ctl, adapt nil) or by an adapt func fed each tick's report
+// (ctl nil); both nil leaves the rails where they are.
+func measureWindow(c *chip.Chip, ctl *control.System, adapt func(chip.TickReport), converge, measure int) window {
+	var fn engine.TickFunc
+	if adapt != nil {
+		fn = func(_ int, rep chip.TickReport, _ []control.Action) bool {
+			adapt(rep)
+			return true
+		}
+	}
+	engine.Ticks(c, ctl, converge, fn)
+	for _, co := range c.Cores {
+		co.ResetAccounting()
+	}
+	dueBase := sumUncorrectable(c)
+	sumV := 0.0
+	engine.Ticks(c, ctl, measure, func(_ int, rep chip.TickReport, _ []control.Action) bool {
+		if adapt != nil {
+			adapt(rep)
+		}
+		for _, d := range c.Domains {
+			sumV += d.Rail.Target()
+		}
+		return true
+	})
+	win := window{
+		avgV: sumV / float64(measure*len(c.Domains)),
+		due:  sumUncorrectable(c) - dueBase,
+		dead: -1,
+	}
+	for i, co := range c.Cores {
+		if !co.Alive() && win.dead < 0 {
+			win.dead = i
+		}
+		win.energy += co.Energy()
+		win.work += co.Work()
+	}
+	return win
 }
 
 // sumUncorrectable totals uncorrectable ECC events across every core's

@@ -9,9 +9,10 @@
 // that fired recently stays silent for a hold-off window — so logs see a
 // bounded-rate sample of the underlying event stream, not every event.
 //
-// The chip routes workload-induced ECC events through a Log; tools like
-// cmd/errprofile reconstruct per-line error profiles from it, exactly
-// the way the paper's characterization did.
+// The chip routes workload-induced ECC events through a Log; the
+// errprofile experiment (`eccspec run errprofile`) reconstructs per-line
+// error profiles from it, exactly the way the paper's characterization
+// did.
 package mca
 
 import (
